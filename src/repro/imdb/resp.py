@@ -65,8 +65,33 @@ def encode(value: RespValue) -> bytes:
 
     Python mapping: ``str`` → simple string, ``bytes`` → bulk string,
     ``int`` → integer, ``None`` → null bulk, ``list`` → array,
-    :class:`RespError` → error.
+    :class:`RespError` → error.  Arrays are walked with an explicit
+    stack, so nesting depth costs no recursion.
     """
+    if not isinstance(value, list):
+        return _encode_scalar(value)
+    out = [b"*%d\r\n" % len(value)]
+    stack = [iter(value)]
+    while stack:
+        for item in stack[-1]:
+            if type(item) is bytes:
+                out.append(_bulk(item))
+            elif isinstance(item, list):
+                out.append(b"*%d\r\n" % len(item))
+                stack.append(iter(item))
+                break
+            else:
+                out.append(_encode_scalar(item))
+        else:
+            stack.pop()
+    return b"".join(out)
+
+
+def _bulk(payload: bytes | bytearray) -> bytes:
+    return b"$%d\r\n%s\r\n" % (len(payload), payload)
+
+
+def _encode_scalar(value: RespValue) -> bytes:
     if value is None:
         return b"$-1\r\n"
     if isinstance(value, RespError):
@@ -82,12 +107,19 @@ def encode(value: RespValue) -> bytes:
             raise ProtocolError("simple strings cannot contain CR/LF")
         return b"+" + value.encode() + CRLF
     if isinstance(value, (bytes, bytearray)):
-        payload = bytes(value)
-        return b"$" + str(len(payload)).encode() + CRLF + payload + CRLF
-    if isinstance(value, list):
-        out = b"*" + str(len(value)).encode() + CRLF
-        return out + b"".join(encode(v) for v in value)
+        return _bulk(value)
     raise ProtocolError(f"cannot encode {type(value).__name__}")
+
+
+def _int(field: bytearray, what: str) -> int:
+    try:
+        return int(field)
+    except ValueError as exc:
+        raise ProtocolError(f"bad {what} {bytes(field)!r}") from exc
+
+
+_CR, _LF = 13, 10
+_PLUS, _MINUS, _COLON, _DOLLAR, _STAR = b"+-:$*"
 
 
 class RespParser:
@@ -116,95 +148,114 @@ class RespParser:
             return True, value
 
     # -- internals ---------------------------------------------------------
-    def _line_end(self, pos: int) -> int | None:
-        idx = self._buf.find(CRLF, pos)
-        return None if idx < 0 else idx
-
     def _parse_at(self, pos: int) -> tuple[RespValue, int] | None:
-        if pos >= len(self._buf):
+        """One value starting at ``pos`` as ``(value, end)``, or None
+        if the buffer ends first.  Arrays are filled in this one loop:
+        ``stack`` holds each open array's items so far and its length,
+        and every finished value is appended to the innermost one."""
+        buf = self._buf
+        stack: list[tuple[list, int]] = []
+        while True:
+            if pos >= len(buf):
+                return None
+            kind = buf[pos]
+            if kind == _DOLLAR:
+                got = self._bulk_at(pos)
+                if got is None:
+                    return None
+                value, pos = got
+            elif kind in (_PLUS, _MINUS, _COLON, _STAR):
+                eol = buf.find(CRLF, pos + 1)
+                if eol < 0:
+                    return None
+                header = buf[pos + 1:eol]
+                pos = eol + 2
+                if kind == _PLUS:
+                    value = header.decode("latin-1")
+                elif kind == _MINUS:
+                    value = RespError(header.decode("latin-1"))
+                elif kind == _COLON:
+                    value = _int(header, "integer")
+                else:
+                    n = _int(header, "array length")
+                    if n < -1:
+                        raise ProtocolError("negative array length")
+                    if n > 0:
+                        stack.append(([], n))
+                        continue
+                    value = [] if n == 0 else None  # -1: null array
+            else:
+                got = self._line_at(pos)
+                if got is None:
+                    return None
+                value, pos = got
+                if value is _SKIP:
+                    if not stack:
+                        return value, pos
+                    continue  # stray blank line between array items
+            while stack:
+                items, n = stack[-1]
+                items.append(value)
+                if len(items) < n:
+                    break
+                stack.pop()
+                value = items
+            if not stack:
+                return value, pos
+
+    def _bulk_at(self, pos: int) -> tuple[bytes | None, int] | None:
+        """A ``$`` bulk string (or null bulk) starting at ``pos``."""
+        buf = self._buf
+        eol = buf.find(CRLF, pos + 1)
+        if eol < 0:
             return None
-        kind = self._buf[pos:pos + 1]
-        if kind in (b"\r", b"\n"):
+        n = _int(buf[pos + 1:eol], "bulk length")
+        start = eol + 2
+        if n == -1:
+            return None, start  # null bulk
+        if n < 0:
+            raise ProtocolError("negative bulk length")
+        end = start + n + 2
+        if len(buf) < end:
+            return None
+        if buf[end - 2] != _CR or buf[end - 1] != _LF:
+            raise ProtocolError("bulk string not CRLF-terminated")
+        return bytes(buf[start:end - 2]), end
+
+    def _line_at(self, pos: int) -> tuple[object, int] | None:
+        """A blank line or an inline command starting at ``pos``; a
+        blank (or whitespace-only) line comes back as ``_SKIP``."""
+        buf = self._buf
+        kind = buf[pos]
+        if kind == _LF:
+            return _SKIP, pos + 1
+        if kind == _CR:
             # A blank line between commands (Redis tolerates these in
-            # inline mode). It must be consumed *before* the generic
-            # header scan below: otherwise the leading CRLF would be
-            # folded into the next frame's header and a typed frame
-            # following it ("\r\n*1\r\n...") would be mis-framed as a
-            # bogus inline command.
-            if kind == b"\n":
-                return _SKIP, pos + 1
-            if pos + 1 >= len(self._buf):
+            # inline mode). It must be consumed *before* any header
+            # scan: otherwise the leading CRLF would be folded into the
+            # next frame's header and a typed frame following it
+            # ("\r\n*1\r\n...") would be mis-framed as a bogus
+            # inline command.
+            if pos + 1 >= len(buf):
                 return None  # may be the first half of a CRLF
-            if self._buf[pos + 1:pos + 2] != b"\n":
+            if buf[pos + 1] != _LF:
                 raise ProtocolError("bare CR in inline command")
             return _SKIP, pos + 2
-        if kind not in (b"+", b"-", b":", b"$", b"*"):
-            # inline command: a bare line of space-separated words.
-            # Inline mode is line-oriented, and real clients may send
-            # bare-LF line endings, so the terminator is the first LF
-            # (with an optional CR stripped) — unlike typed frames,
-            # which require a strict CRLF.
-            nl = self._buf.find(b"\n", pos)
-            if nl < 0:
-                return None
-            line = bytes(self._buf[pos:nl])
-            if line.endswith(b"\r"):
-                line = line[:-1]
-            words = [bytes(w) for w in line.split()]
-            if not words:
-                return _SKIP, nl + 1  # whitespace-only line
-            return words, nl + 1
-        eol = self._line_end(pos + 1)
-        if eol is None:
+        # inline command: a bare line of space-separated words.
+        # Inline mode is line-oriented, and real clients may send
+        # bare-LF line endings, so the terminator is the first LF
+        # (with an optional CR stripped) — unlike typed frames, which
+        # require a strict CRLF.
+        nl = buf.find(b"\n", pos)
+        if nl < 0:
             return None
-        header = bytes(self._buf[pos + 1:eol])
-        body_start = eol + 2
-        if kind == b"+":
-            return header.decode("latin-1"), body_start
-        if kind == b"-":
-            return RespError(header.decode("latin-1")), body_start
-        if kind == b":":
-            try:
-                return int(header), body_start
-            except ValueError as exc:
-                raise ProtocolError(f"bad integer {header!r}") from exc
-        if kind == b"$":
-            try:
-                n = int(header)
-            except ValueError as exc:
-                raise ProtocolError(f"bad bulk length {header!r}") from exc
-            if n == -1:
-                return None, body_start  # null bulk
-            if n < 0:
-                raise ProtocolError("negative bulk length")
-            end = body_start + n + 2
-            if len(self._buf) < end:
-                return None
-            if bytes(self._buf[body_start + n:end]) != CRLF:
-                raise ProtocolError("bulk string not CRLF-terminated")
-            return bytes(self._buf[body_start:body_start + n]), end
-        if kind == b"*":
-            try:
-                n = int(header)
-            except ValueError as exc:
-                raise ProtocolError(f"bad array length {header!r}") from exc
-            if n == -1:
-                return None, body_start  # null array
-            if n < 0:
-                raise ProtocolError("negative array length")
-            items = []
-            cursor = body_start
-            for _ in range(n):
-                while True:  # tolerate stray blank lines between items
-                    got = self._parse_at(cursor)
-                    if got is None:
-                        return None
-                    item, cursor = got
-                    if item is not _SKIP:
-                        break
-                items.append(item)
-            return items, cursor
-        raise ProtocolError(f"unreachable kind {kind!r}")
+        line = bytes(buf[pos:nl])
+        if line.endswith(b"\r"):
+            line = line[:-1]
+        words = line.split()
+        if not words:
+            return _SKIP, nl + 1  # whitespace-only line
+        return words, nl + 1
 
 
 def decode(data: bytes) -> RespValue:

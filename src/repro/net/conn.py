@@ -1,11 +1,11 @@
 """Per-connection state machines: framing, queues, backpressure.
 
 A :class:`Connection` is one simulated TCP connection.  The client side
-writes RESP2-encoded command bytes into the connection's inbox (in
-fragments, paced by client bandwidth — slow clients trickle); the
-server side runs two processes:
+writes RESP2-encoded command frames into the connection's inbox, each
+arriving when its last fragment would (fragments are paced by client
+bandwidth — slow clients trickle); the server side runs two processes:
 
-* a **reader** that feeds arriving chunks through a streaming
+* a **reader** that feeds arriving frames through a streaming
   :class:`~repro.imdb.resp.RespParser`, maps each complete frame to a
   :class:`~repro.imdb.server.ClientOp`, and *admits* it subject to the
   backpressure policy;
@@ -131,6 +131,9 @@ class Connection:
         self.replies: list[bytes] = []
         self._outstanding = 0
         self._window_ev: Event | None = None
+        #: (arrival event, send instant, bytes, arrival instant) of the
+        #: frame the client has on the wire, if any
+        self._on_wire: tuple[Event, float, int, float] | None = None
         self._reader = env.process(self._read_loop(),
                                    name=f"conn{conn_id}-rd")
         self._dispatcher = env.process(self._dispatch_loop(),
@@ -143,13 +146,21 @@ class Connection:
         Respects the pipeline window: at most ``pipeline_depth``
         commands of this connection are unanswered at once.  Returns
         the number of commands actually put on the wire.
+
+        Each command's frame is paced fragment by fragment at the
+        client's bandwidth, but only its last fragment matters to the
+        reader (a frame cannot parse before it is whole), so the frame
+        lands in the inbox once, at that fragment's instant.  A
+        server-side close while the frame is on the wire is noticed at
+        the next fragment boundary (see :meth:`_drop_close`).
         """
+        env = self.env
         sent = 0
         for op in group:
             while self._outstanding >= self.cfg.pipeline_depth \
                     and not self.closed:
                 if self._window_ev is None:
-                    self._window_ev = Event(self.env)
+                    self._window_ev = Event(env)
                 yield self._window_ev
             if self.closed:
                 self.fe.unsent += len(group) - sent
@@ -158,15 +169,16 @@ class Connection:
             self._outstanding += 1
             self._meta.append(t_intended)
             self.fe.issued += 1
-            bw = self._bandwidth(self.cfg.client_bandwidth)
-            frag = self.cfg.fragment_bytes
-            for i in range(0, len(data), frag):
-                chunk = data[i:i + frag]
-                yield self.env.timeout(len(chunk) / bw)
-                if self.closed:
-                    self.fe.unsent += len(group) - sent - 1
-                    return sent
-                yield self.inbox.put(chunk)
+            t0 = env.now
+            t_end = self._wire_instant(t0, len(data))
+            ev = env.at(t_end)
+            self._on_wire = (ev, t0, len(data), t_end)
+            yield ev
+            self._on_wire = None
+            if self.closed:
+                self.fe.unsent += len(group) - sent - 1
+                return sent
+            yield self.inbox.put(data)
             sent += 1
         return sent
 
@@ -182,13 +194,24 @@ class Connection:
         if not self.closed:
             yield self.inbox.put(_CLOSE)
 
-    @property
-    def can_send(self) -> bool:
-        return not self.closed
-
     # ------------------------------------------------------------ internals
     def _bandwidth(self, bw: float) -> float:
         return bw * self.cfg.slow_factor if self.slow else bw
+
+    def _wire_instant(self, t: float, nbytes: int,
+                      not_before: float = float("inf")) -> float:
+        """Arrival instant of the first fragment of an ``nbytes`` frame
+        sent at ``t`` that lands at or after ``not_before`` — by
+        default the frame's last fragment.  Each fragment costs
+        ``len/bandwidth``, accumulated fragment by fragment so every
+        boundary is the exact float a per-fragment timer chain gives."""
+        bw = self._bandwidth(self.cfg.client_bandwidth)
+        frag = self.cfg.fragment_bytes
+        for i in range(0, nbytes, frag):
+            t = t + min(frag, nbytes - i) / bw
+            if t >= not_before:
+                break
+        return t
 
     def _wake_window(self) -> None:
         ev = self._window_ev
@@ -282,6 +305,15 @@ class Connection:
         self.closed = True
         self.dropped = True
         fe.dropped_conns += 1
+        if self._on_wire is not None:
+            # the client is mid-frame: it sees the close when its next
+            # fragment goes out, so move its wake-up to that boundary
+            # (if that is the last fragment, its own event already is)
+            ev, t0, nbytes, t_end = self._on_wire
+            t = self._wire_instant(t0, nbytes, not_before=self.env.now)
+            if t < t_end:
+                moved = self.env.at(t)
+                moved.callbacks, ev.callbacks = ev.callbacks, []
         self.queue.put(_CLOSE)  # room guaranteed: queue just cleared
         self._wake_window()
 

@@ -156,6 +156,29 @@ def test_blank_lines_before_frames_are_skipped(prefix):
             assert p.pending_bytes == 0
 
 
+@pytest.mark.parametrize("raw,value", [
+    (b"*2\r\n$3\r\nGET\r\n\r\n$1\r\nk\r\n", [b"GET", b"k"]),
+    (b"*2\r\n$3\r\nGET\r\n\n\r\n  \r\n$1\r\nk\r\n", [b"GET", b"k"]),
+    (b"*3\r\n\r\n:1\r\n\n+two\r\n\r\n$-1\r\n", [1, "two", None]),
+    (b"*2\r\n*1\r\n\n$1\r\na\r\n\r\n*0\r\n", [[b"a"], []]),
+], ids=repr)
+def test_blank_lines_between_array_items_are_skipped(raw, value):
+    """Stray blank lines *inside* an array, between its items, are
+    consumed without becoming items — whole and at every split."""
+    for head, tail in _pairwise_splits(raw):
+        p = RespParser()
+        got = []
+        for chunk in (head, tail):
+            p.feed(chunk)
+            while True:
+                ok, v = p.parse()
+                if not ok:
+                    break
+                got.append(v)
+        assert got == [value]
+        assert p.pending_bytes == 0
+
+
 def test_blank_line_then_inline():
     p = RespParser()
     p.feed(b"\r\nPING\r\n")

@@ -1,10 +1,11 @@
 """Connection state-machine tests against a controllable fake backend."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.imdb import ClientOp
-from repro.imdb.resp import decode
-from repro.net import NetConfig, NetFrontend
+from repro.imdb.resp import decode, encode_command
+from repro.net import BackpressurePolicy, NetConfig, NetFrontend
 from repro.sim import Environment
 
 
@@ -197,3 +198,121 @@ def test_net_spans_cover_queue_residency():
     names = {s.name for ctx in kept for s in ctx.spans}
     assert "conn_queue" in names or "client_backlog" in names
     assert "reply_write" in names
+
+
+# -- wire timing -------------------------------------------------------------
+
+def _boundaries(t0, nbytes, frag, bw):
+    """Fragment arrival instants of one frame, summed chunk by chunk
+    from the send instant (the wire model's own float arithmetic)."""
+    out = []
+    t = t0
+    for i in range(0, nbytes, frag):
+        t = t + min(frag, nbytes - i) / bw
+        out.append(t)
+    return out
+
+
+class StampingBackend(FakeBackend):
+    """Records the instant each command reaches the backend."""
+
+    def __init__(self, env, service=0.0):
+        super().__init__(env, service)
+        self.started: list[float] = []
+
+    def execute(self, op):
+        self.started.append(self.env.now)
+        return (yield from super().execute(op))
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_size=st.integers(0, 3000),
+       fragment_bytes=st.integers(7, 1024),
+       slow=st.booleans(),
+       slow_factor=st.sampled_from([0.5, 0.05, 0.013]))
+def test_frame_parsed_at_last_fragment_instant(value_size, fragment_bytes,
+                                               slow, slow_factor):
+    """A frame is parsed exactly when its last fragment lands, and the
+    sender returns at that same instant."""
+    env = Environment()
+    be = StampingBackend(env)
+    cfg = NetConfig(fragment_bytes=fragment_bytes, parse_cpu=0.0,
+                    slow_every=1 if slow else 0, slow_factor=slow_factor)
+    fe = NetFrontend(env, be, cfg)
+    conn = _connect(env, fe)
+    op = ClientOp("SET", b"key", b"v" * value_size)
+    bw = cfg.client_bandwidth * slow_factor if slow else cfg.client_bandwidth
+    box = {}
+
+    def client():
+        box["t0"] = env.now
+        yield from conn.send((op,), env.now)
+        box["t1"] = env.now
+
+    env.run(until=env.process(client(), name="client"))
+    env.run(until=env.now + 0.01)
+    want = _boundaries(box["t0"], len(encode_command(op)), fragment_bytes,
+                       bw)[-1]
+    assert box["t1"] == want
+    assert be.started == [want]
+
+
+def test_drop_mid_frame_noticed_at_next_fragment_boundary():
+    """DROP closes the connection while a slow, backlogged client has a
+    frame half on the wire: the client must notice at the next fragment
+    boundary, not when the frame would have finished, and reconnect
+    from there.  Instants pinned from the per-fragment wire model."""
+    env = Environment()
+    be = FakeBackend(env, service=400e-6)
+    cfg = NetConfig(policy=BackpressurePolicy.DROP, conn_queue=1,
+                    pipeline_depth=4, fragment_bytes=64, slow_every=1,
+                    slow_factor=0.05)
+    fe = NetFrontend(env, be, cfg)
+    ops = [ClientOp("SET", b"k%d" % i, b"v" * 300) for i in range(8)]
+    nbytes = len(encode_command(ops[0]))
+    bw = cfg.client_bandwidth * cfg.slow_factor
+    log = []
+
+    def session():
+        conn = None
+        for i, op in enumerate(ops):
+            t_int = i * 10e-6  # far ahead of what the slow client can send
+            if env.now < t_int:
+                yield env.timeout(t_int - env.now)
+            while conn is None or conn.closed:
+                conn = yield from fe.listener.connect()
+                log.append(("connect", conn.conn_id, env.now))
+            t_send = env.now
+            sent = yield from conn.send((op,), t_int)
+            log.append(("send", i, sent, t_send, env.now))
+        yield from conn.drain()
+        yield from conn.close()
+
+    env.run(until=env.process(session(), name="session"))
+    env.run(until=env.now + 0.01)
+
+    cut = [e for e in log if e[0] == "send" and e[2] == 0]
+    assert len(cut) == 2
+    for _, _, _, t_send, t_back in cut:
+        edges = _boundaries(t_send, nbytes, cfg.fragment_bytes, bw)
+        assert t_back in edges[:-1]  # a fragment boundary, mid-frame
+    assert log == [
+        ("connect", 1, 2e-06),
+        ("send", 0, 1, 2e-06, 6.780000000000001e-05),
+        ("send", 1, 1, 6.780000000000001e-05, 0.0001336),
+        ("send", 2, 1, 0.0001336, 0.00019939999999999991),
+        ("send", 3, 0, 0.00019939999999999991, 0.0002121999999999999),
+        ("connect", 2, 0.0002141999999999999),
+        ("send", 4, 1, 0.0002141999999999999, 0.0002799999999999998),
+        ("send", 5, 1, 0.0002799999999999998, 0.00034579999999999973),
+        ("send", 6, 1, 0.00034579999999999973, 0.00041159999999999965),
+        ("send", 7, 0, 0.00041159999999999965, 0.00042439999999999964),
+    ]
+    assert fe.stats() == {
+        "issued": 8.0, "completed": 2.0, "shed": 0.0,
+        "dropped_conns": 2.0, "dropped_cmds": 6.0, "unsent": 0.0,
+        "refused": 0.0, "accepted": 2.0, "peak_inflight": 3.0,
+        "admission_rejections": 0.0, "max_conn_queue": 1.0,
+    }
+    assert fe.completions == [(0.0, 0.00046830000000000005, "SET"),
+                              (4e-05, 0.0006804999999999999, "SET")]
